@@ -1,80 +1,46 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation on the simulated T5440, plus Bechamel
-   microbenchmarks of native (Atomic-based) lock primitive costs.
+   paper's evaluation on the simulated T5440 — every entry of
+   Harness.Experiments.entries at its quick or full parameters, in table
+   order — plus Bechamel microbenchmarks of native (Atomic-based) lock
+   primitive costs.
 
      dune exec bench/main.exe            # everything (~2 minutes)
      dune exec bench/main.exe -- quick   # reduced sweep (~20 s)
 
    Extra flags:
-     --emit-bench-json FILE   versioned BENCH artifact from the two
-                              sweeps (sim results only — deterministic,
+     --emit-bench-json FILE   versioned BENCH artifact from the keyed
+                              entries (sim results only — deterministic,
                               byte-identical across same-seed runs)
-     --trace FILE             lock-event trace of the sweeps; .jsonl
+     --trace FILE             lock-event trace of every run; .jsonl
                               streams JSONL, anything else writes a
                               Chrome trace_event file
      --profile                per-site coherence attribution report for
                               the microbenchmark sweep (stdout only;
                               never changes schedules or artifacts)
+     --predict                the throughput oracle's predicted-vs-measured
+                              table for the same sweep (stdout only)
+     --fastpath on|off        engine fast path (schedule-invisible)
 
-   Figures 2-5 derive from one LBench sweep; Figure 6 from the abortable
-   sweep; Tables 1-2 from the KV-store and allocator workloads. The
-   Bechamel section measures single-thread acquire+release latency of
-   each lock over real atomics — the low-contention overhead that
-   Figure 4 shows must stay competitive. *)
+   The Bechamel section measures single-thread acquire+release latency of
+   the native registry's paper and plain locks — the low-contention
+   overhead that Figure 4 shows must stay competitive. *)
 
 open Bechamel
 module X = Harness.Experiments
-module R = Harness.Lock_registry
-module W = Apps.Kv_workload
 module Nm = Numa_native.Nat_mem
 module LI = Cohort.Lock_intf
 
-let topology = Numa_base.Topology.t5440
-
 (* --- Bechamel: native uncontended lock cost ----------------------------- *)
 
-module NBo = Cohort.Bo_lock.Make (Nm)
-module NTkt = Cohort.Ticket_lock.Make (Nm)
-module NMcs = Cohort.Mcs_lock.Make (Nm)
-module NClh = Cohort.Clh_lock.Make (Nm)
-module NC_bo_bo = Cohort.Cohort_locks.C_bo_bo (Nm)
-module NC_tkt_tkt = Cohort.Cohort_locks.C_tkt_tkt (Nm)
-module NC_bo_mcs = Cohort.Cohort_locks.C_bo_mcs (Nm)
-module NC_tkt_mcs = Cohort.Cohort_locks.C_tkt_mcs (Nm)
-module NC_mcs_mcs = Cohort.Cohort_locks.C_mcs_mcs (Nm)
-module NCna = Cohort.Cna_lock.Make (Nm)
-module NPtl = Cohort.Ptl_lock.Make (Nm)
-module NHbo = Baselines.Hbo_lock.Make (Nm)
-module NFcmcs = Baselines.Fc_mcs.Make (Nm)
-module NHclh = Baselines.Hclh_lock.Make (Nm)
-
-let native_cycle_test name (module L : LI.LOCK) =
-  let cfg = { LI.default with LI.clusters = 4; max_threads = 8 } in
-  let l = L.create cfg in
+let native_cycle_test (e : Harness.Lock_registry.entry) =
+  let (module L) = e.lock in
+  let l = L.create (e.tweak { LI.default with LI.clusters = 4; max_threads = 8 }) in
   Nm.set_identity ~tid:0 ~cluster:0;
   let th = L.register l ~tid:0 ~cluster:0 in
-  Test.make ~name
+  Test.make ~name:e.name
     (Staged.stage (fun () ->
          L.acquire th;
          L.release th))
-
-let native_tests =
-  [
-    native_cycle_test "BO" (module NBo.Plain);
-    native_cycle_test "TKT" (module NTkt.Plain);
-    native_cycle_test "MCS" (module NMcs.Plain);
-    native_cycle_test "CLH" (module NClh.Plain);
-    native_cycle_test "HBO" (module NHbo.Lock);
-    native_cycle_test "HCLH" (module NHclh);
-    native_cycle_test "FC-MCS" (module NFcmcs);
-    native_cycle_test "C-BO-BO" (module NC_bo_bo);
-    native_cycle_test "C-TKT-TKT" (module NC_tkt_tkt);
-    native_cycle_test "C-BO-MCS" (module NC_bo_mcs);
-    native_cycle_test "C-TKT-MCS" (module NC_tkt_mcs);
-    native_cycle_test "C-MCS-MCS" (module NC_mcs_mcs);
-    native_cycle_test "CNA" (module NCna.Plain);
-    native_cycle_test "PTL" (module NPtl.Plain);
-  ]
 
 let run_bechamel () =
   print_endline
@@ -85,8 +51,8 @@ let run_bechamel () =
   let instance = Toolkit.Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
   List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
+    (fun e ->
+      let results = Benchmark.all cfg [ instance ] (native_cycle_test e) in
       let analyzed = Analyze.all ols instance results in
       Hashtbl.iter
         (fun name ols ->
@@ -97,205 +63,31 @@ let run_bechamel () =
           in
           Printf.printf "  %-24s %s ns\n%!" name est)
         analyzed)
-    native_tests;
+    Harness.Native.Registry.(microbench_locks @ extra_locks);
   print_newline ()
 
 (* --- Simulated figures and tables --------------------------------------- *)
 
-(* [--trace FILE]: a sink for the sweeps plus the finaliser that lands
-   the file. JSONL streams as events happen; the Chrome export buffers
-   in a ring and writes on completion. *)
-let trace_sink = function
-  | None -> (Numa_trace.Sink.noop, fun () -> ())
-  | Some path when Filename.check_suffix path ".jsonl" ->
-      let sink = Numa_trace.Jsonl.to_file path in
-      (sink, fun () -> Numa_trace.Sink.close sink)
-  | Some path ->
-      let ring = Numa_trace.Ring.create ~capacity:1_048_576 in
-      ( Numa_trace.Ring.sink ring,
-        fun () -> Numa_trace.Chrome.write_file path (Numa_trace.Ring.events ring) )
-
-let sweep_entries ~experiment (sweep : X.sweep) =
-  Array.to_list sweep.X.cells
-  |> List.concat_map (fun col ->
-         Array.to_list col
-         |> List.map (Harness.Bench_json.entry_of_result ~experiment))
-
-(* [--profile]: attribution tables for the sweep's highest thread count.
-   Purely a stdout report — the sweep results and any emitted artifact are
-   identical with and without it (profiling mutates stats only). *)
-let print_profiles (sweep : X.sweep) =
-  print_endline "=== Coherence attribution (--profile) ===";
-  List.iteri
-    (fun i name ->
-      let col = sweep.X.cells.(i) in
-      let r = col.(Array.length col - 1) in
-      match r.Harness.Lbench.profile with
-      | None -> ()
-      | Some p ->
-          let acquires = r.Harness.Lbench.iterations in
-          Printf.printf "\n-- %s @ %d threads --\n" name
-            r.Harness.Lbench.n_threads;
-          Format.printf "%a" Numa_trace.Profile.pp p;
-          Printf.printf
-            "remote transfers / acquisition = %.3f   invalidations / release \
-             = %.3f\n%!"
-            (Numa_trace.Profile.remote_transfers_per_acquire p ~acquires)
-            (Numa_trace.Profile.invalidations_per_release p ~releases:acquires))
-    sweep.X.columns;
-  print_newline ()
-
-(* [--predict]: predicted-vs-measured throughput for the main sweep,
-   ranked by |error|. Stdout only, like --profile: predictions are pure
-   arithmetic over the rollups, so sweeps and artifacts are identical
-   with and without the flag. *)
-let print_predictions (sweep : X.sweep) =
-  print_endline "=== Analytic throughput prediction (--predict) ===";
-  let points =
-    List.concat
-      (List.mapi
-         (fun i name ->
-           Array.to_list sweep.X.cells.(i)
-           |> List.map (fun (r : Harness.Lbench.result) -> (name, r)))
-         sweep.X.columns)
-  in
-  let ranked =
-    List.stable_sort
-      (fun (_, (a : Harness.Lbench.result)) (_, b) ->
-        let key (r : Harness.Lbench.result) =
-          match r.Harness.Lbench.predicted with
-          | Some p when not (Float.is_nan p.Numa_trace.Predict.err) ->
-              Float.abs p.Numa_trace.Predict.err
-          | _ -> Float.neg_infinity
-        in
-        Float.compare (key b) (key a))
-      points
-  in
-  Printf.printf "  %-12s %4s  %11s  %11s  %7s\n" "lock" "thr" "measured"
-    "predicted" "err";
-  List.iter
-    (fun (name, (r : Harness.Lbench.result)) ->
-      match r.Harness.Lbench.predicted with
-      | None ->
-          Printf.printf "  %-12s %4d  %11.3e  %11s  %7s\n" name
-            r.Harness.Lbench.n_threads r.Harness.Lbench.throughput "-" "-"
-      | Some p ->
-          Printf.printf "  %-12s %4d  %11.3e  %11.3e  %+6.1f%%\n" name
-            r.Harness.Lbench.n_threads r.Harness.Lbench.throughput
-            p.Numa_trace.Predict.throughput (100. *. p.Numa_trace.Predict.err))
-    ranked;
-  print_newline ()
-
+(* Every entry of the experiment table that has bench parameters, in table
+   order. [--profile]/[--predict] add stdout reports only: the sweeps and
+   any emitted artifact are identical with and without them. *)
 let run_sim ~quick ~trace ~emit ~profile ~predict =
-  let seed = 42 in
-  let duration = if quick then 2_000_000 else 5_000_000 in
-  let fig_threads =
-    if quick then [ 1; 8; 64; 256 ]
-    else [ 1; 2; 4; 8; 16; 32; 64; 128; 192; 256 ]
-  in
-  let t1_threads =
-    if quick then [ 1; 8; 32; 128 ] else [ 1; 4; 8; 16; 32; 64; 96; 128 ]
-  in
-  let t2_threads =
-    if quick then [ 1; 8; 64; 255 ] else [ 1; 2; 4; 8; 16; 32; 64; 128; 255 ]
-  in
-  Printf.printf "%s\n\n%!" (X.params_summary ~topology ~duration ~seed);
-  let sink, finish_trace = trace_sink trace in
+  let base = if quick then X.quick else X.full in
+  Printf.printf "%s\n\n%!" (X.params_summary base);
+  let sink, finish_trace = X.trace_sink trace in
   let rollup = emit <> None || predict in
-  let sweep =
-    X.microbench_sweep
-      ~locks:(List.map (R.with_trace sink) R.microbench_locks)
-      ~rollup ~profile ~topology ~threads:fig_threads ~duration ~seed ()
+  let runs =
+    List.filter_map
+      (fun (e : X.entry) ->
+        Option.map
+          (fun (q, f) ->
+            let p = if quick then q else f in
+            let out = e.run { p with sink; rollup; profile; predict } in
+            List.iter X.print_section out.sections;
+            (e, out))
+          e.bench)
+      X.entries
   in
-  X.print_fig2 sweep;
-  X.print_fig3 sweep;
-  X.print_fig4 sweep;
-  X.print_fig5 sweep;
-  X.print_fig5_latency sweep;
-  if profile then print_profiles sweep;
-  if predict then print_predictions sweep;
-  let asweep =
-    X.abortable_sweep
-      ~locks:(List.map (R.with_trace_abortable sink) R.abortable_locks)
-      ~rollup ~topology ~threads:fig_threads ~duration ~seed
-      ~patience:2_000_000 ()
-  in
-  X.print_fig6 asweep;
-  List.iter
-    (fun mix ->
-      X.print_table
-        (X.table1 ~topology ~threads:t1_threads ~duration ~seed ~mix ()))
-    [ W.read_heavy; W.mixed; W.write_heavy ];
-  X.print_table (X.table2 ~topology ~threads:t2_threads ~duration ~seed ());
-  X.print_table
-    (X.ablation_handoff_bound ~topology ~n_threads:64 ~duration ~seed ());
-  X.print_table (X.ablation_hbo_tuning ~topology ~duration ~seed ());
-  X.print_table (X.ablation_policy ~topology ~n_threads:64 ~duration ~seed ());
-  X.print_table
-    (X.extension_blocking ~topology ~threads:t1_threads ~duration ~seed ());
-  X.print_table (X.extension_rw ~topology ~n_threads:64 ~duration ~seed ());
-  X.print_table
-    (X.extension_bimodal ~topology ~n_threads:32 ~duration ~seed ());
-  X.print_table (X.topology_sensitivity ~n_threads:64 ~duration ~seed ());
-  X.print_table
-    (X.composition_matrix ~topology ~n_threads:64 ~duration ~seed ());
-  X.print_table
-    (X.successor_comparison ~topology ~n_threads:64 ~duration ~seed ());
-  (* Extension: the same LBench curve on the hierarchical rack preset
-     (two racks x two sockets, three latency tiers), plus the flat-vs-rack
-     head-to-head. Same seed and durations as the main sweep. *)
-  let rack = Numa_base.Topology.rack in
-  let rsweep =
-    X.microbench_sweep
-      ~locks:(List.map (R.with_trace sink) R.microbench_locks)
-      ~rollup ~topology:rack ~threads:fig_threads ~duration ~seed ()
-  in
-  Harness.Report.print_series
-    ~title:
-      "Extension: LBench throughput on the rack preset (2 racks x 2 sockets, \
-       pairs / s)"
-    ~x_label:"threads" ~columns:rsweep.X.columns
-    ~rows:(X.throughput_rows rsweep) ~fmt:Harness.Report.fmt_si ();
-  X.print_table (X.hierarchy_comparison ~n_threads:64 ~duration ~seed ());
-  (* Extension: oversubscription. 2048 logical threads wrap onto the
-     T5440's 256 contexts (8 fibers per hardware thread); short window,
-     queue-lock subset — the point is that the sweep completes and the
-     cohort ordering survives heavy multiplexing. *)
-  let oversub_threads = [ 512; 2048 ] in
-  let oversub_locks =
-    List.filter
-      (fun e -> List.mem e.R.name [ "MCS"; "C-BO-MCS"; "C-TKT-MCS"; "CNA" ])
-      R.microbench_locks
-  in
-  let osweep =
-    X.microbench_sweep
-      ~locks:(List.map (R.with_trace sink) oversub_locks)
-      ~rollup ~topology ~threads:oversub_threads
-      ~duration:(if quick then 400_000 else 1_000_000)
-      ~seed ()
-  in
-  Harness.Report.print_series
-    ~title:
-      "Extension: oversubscribed LBench (logical threads wrapped onto the \
-       T5440's 256 contexts, pairs / s)"
-    ~x_label:"threads" ~columns:osweep.X.columns
-    ~rows:(X.throughput_rows osweep) ~fmt:Harness.Report.fmt_si ();
-  (* Extension: saturation collapse (the GCR concurrency-restriction
-     story). Thread counts far past capacity under the explicit
-     preemption model; the expensive extreme rows live in bin/repro.exe
-     collapse — here a short sweep keeps every collapse lock on the
-     perf trajectory (bench_diff's coverage gate reads these curves). *)
-  let collapse_threads =
-    if quick then [ 64; 1024; 2048 ] else [ 64; 1024; 2048; 4096 ]
-  in
-  let csweep =
-    X.collapse_sweep
-      ~locks:(List.map (R.with_trace sink) R.collapse_locks)
-      ~topology ~threads:collapse_threads
-      ~duration:(if quick then 500_000 else 1_000_000)
-      ~seed ()
-  in
-  X.print_collapse ~topology csweep;
   finish_trace ();
   (match trace with
   | Some path -> Printf.printf "Wrote lock-event trace to %s\n%!" path
@@ -303,14 +95,7 @@ let run_sim ~quick ~trace ~emit ~profile ~predict =
   match emit with
   | None -> ()
   | Some path ->
-      let entries =
-        sweep_entries ~experiment:"lbench" sweep
-        @ sweep_entries ~experiment:"lbench-abortable" asweep
-        @ sweep_entries ~experiment:"lbench-rack" rsweep
-        @ sweep_entries ~experiment:"lbench-oversub" osweep
-        @ sweep_entries ~experiment:"collapse" csweep
-      in
-      Harness.Bench_json.(write path (make ~substrate:"sim" ~seed entries));
+      Harness.Bench_json.write path (X.artifact ~seed:base.seed runs);
       Printf.printf "Wrote bench artifact to %s\n%!" path
 
 let () =

@@ -35,20 +35,6 @@ let row (r : Harness.Bench_core.result) =
     (if r.aborts = 0 && r.abort_rate = 0. then "-"
      else Rep.fmt_fixed2 (100. *. r.abort_rate))
 
-(* [--trace FILE]: .jsonl streams JSONL; anything else buffers in a ring
-   and writes a Chrome trace_event file on exit. Native timestamps are
-   real monotonic ns, so the Chrome view shows wall-clock handoffs. *)
-let trace_sink = function
-  | None -> (Numa_trace.Sink.noop, fun () -> ())
-  | Some path when Filename.check_suffix path ".jsonl" ->
-      let sink = Numa_trace.Jsonl.to_file path in
-      (sink, fun () -> Numa_trace.Sink.close sink)
-  | Some path ->
-      let ring = Numa_trace.Ring.create ~capacity:1_048_576 in
-      ( Numa_trace.Ring.sink ring,
-        fun () ->
-          Numa_trace.Chrome.write_file path (Numa_trace.Ring.events ring) )
-
 let run_bench domains clusters millis filters abortable patience seed trace
     emit =
   let tpc = (domains + clusters - 1) / clusters in
@@ -80,7 +66,7 @@ let run_bench domains clusters millis filters abortable patience seed trace
      (1-core container: measures oversubscribed overhead, not NUMA)\n"
     domains clusters millis seed;
   header ();
-  let sink, finish_trace = trace_sink trace in
+  let sink, finish_trace = Harness.Experiments.trace_sink trace in
   let rollup = emit <> None in
   let results =
     List.map

@@ -11,15 +11,49 @@
 module M = Numasim.Sim_mem
 module E = Numasim.Engine
 module LI = Cohort.Lock_intf
-module T = Harness.Trace
+module Ev = Numa_trace.Event
 
 let topology = Numa_base.Topology.t5440
 let n_threads = 32
 let duration = 200_000 (* a short window so individual batches are visible *)
 
-let show name (lock : (module LI.LOCK)) =
-  let (module L), events = T.wrap lock in
-  let cfg = { LI.default with LI.clusters = 4; max_threads = 256 } in
+(* One character per time bucket: the digit of the cluster holding the
+   lock, painted over each [acquire, release) interval, or '.' when the
+   lock was free. *)
+let render_timeline ~width (events : Ev.t list) =
+  let events =
+    List.filter (fun (e : Ev.t) -> Ev.is_acquire e.kind || Ev.is_release e.kind) events
+  in
+  let t_end = max 1 (List.fold_left (fun m (e : Ev.t) -> max m e.at) 0 events) in
+  let buf = Bytes.make width '.' in
+  let col t = min (width - 1) (t * width / t_end) in
+  let rec go = function
+    | (a : Ev.t) :: rest when Ev.is_acquire a.kind ->
+        let upto =
+          match rest with
+          | (r : Ev.t) :: _ when Ev.is_release r.kind -> r.at
+          | _ -> t_end
+        in
+        for c = col a.at to max (col a.at) (col upto) do
+          Bytes.set buf c (Char.chr (Char.code '0' + (a.cluster mod 10)))
+        done;
+        go rest
+    | _ :: rest -> go rest
+    | [] -> ()
+  in
+  go events;
+  Bytes.to_string buf
+
+let show name (module L : LI.LOCK) =
+  let ring = Numa_trace.Ring.create ~capacity:65_536 in
+  let cfg =
+    {
+      LI.default with
+      LI.clusters = 4;
+      max_threads = 256;
+      trace = Numa_trace.Ring.sink ring;
+    }
+  in
   let l = L.create cfg in
   ignore
     (E.run ~topology ~n_threads (fun ~tid ~cluster ->
@@ -35,18 +69,17 @@ let show name (lock : (module LI.LOCK)) =
            end
          in
          loop ()));
-  let evs = events () in
-  Printf.printf "%-10s |%s|\n" name (T.render_timeline ~width:64 evs);
+  let evs = Numa_trace.Ring.events ring in
+  let m = Numa_trace.Metrics.of_events evs in
+  Printf.printf "%-10s |%s|\n" name (render_timeline ~width:64 evs);
+  (* A batch here is a run of same-cluster acquisitions. *)
   Printf.printf "%10s  mean batch %.1f, %d migrations, %d acquisitions\n\n" ""
-    (T.mean_batch evs) (T.migration_count evs)
-    (List.length (T.acquisitions evs))
+    (float_of_int m.acquires /. float_of_int (m.migrations + 1))
+    m.migrations m.acquires
 
 let () =
   Printf.printf
     "Lock ownership timeline (digit = cluster holding the lock):\n\n";
-  let module Mcs = Cohort.Mcs_lock.Make (M) in
-  let module Hbo = Baselines.Hbo_lock.Make (M) in
-  let module C_bo_mcs = Cohort.Cohort_locks.C_bo_mcs (M) in
-  show "MCS" (module Mcs.Plain);
-  show "HBO" (module Hbo.Lock);
-  show "C-BO-MCS" (module C_bo_mcs)
+  List.iter
+    (fun name -> show name (Option.get (Harness.Lock_registry.find name)).lock)
+    [ "MCS"; "HBO"; "C-BO-MCS" ]

@@ -1,20 +1,132 @@
-(** Per-figure / per-table experiment runners (see DESIGN.md section 3).
+(** The experiment table: every figure, table, ablation and extension of
+    the evaluation as one {!entry} (see DESIGN.md section 3).
 
-    Figures 2-5 all derive from one microbenchmark sweep, so
-    {!microbench_sweep} runs once and the four [figN_*] accessors render
-    its views. Every runner is deterministic in [seed]. Durations are
-    simulated nanoseconds: the paper measures 60 s windows, but LBench
-    reaches steady state in well under a millisecond, so the default
-    windows (set by the callers in [bench/] and [bin/]) are 5-20 ms. *)
+    [bin/repro.exe] generates its subcommands from {!entries},
+    [bench/main.exe] runs the entries' quick/full parameters in table
+    order, and both emit the [cohort-bench/3] artifact from the entries'
+    results. Adding an experiment is adding one entry. Every run is
+    deterministic in [seed]. Durations are simulated nanoseconds: the
+    paper measures 60 s windows, but LBench reaches steady state in well
+    under a millisecond, so the windows here are 0.4-10 ms. *)
+
+type params = {
+  topology : Numa_base.Topology.t;
+  threads : int list;  (** thread counts of a sweep. *)
+  n_threads : int;  (** thread count of a single-point experiment. *)
+  duration : int;  (** simulated ns per data point. *)
+  seed : int;
+  patience : int;  (** abortable-lock patience, ns (Figure 6). *)
+  mixes : Apps.Kv_workload.mix list;  (** Table 1 get/set mixes. *)
+  locks : string list;  (** registry lock selection, where an entry takes one. *)
+  check : bool;  (** also evaluate the entry's CI gates. *)
+  sink : Numa_trace.Sink.t;  (** receives every lock event of the runs. *)
+  rollup : bool;  (** capture trace-metric rollups (artifacts, prediction). *)
+  profile : bool;  (** print per-site coherence attribution (Figures 2-5). *)
+  predict : bool;  (** print the throughput oracle's table (Figures 2-5). *)
+}
+
+(** One printable table: rows of (x value, one cell per column). *)
+type table = {
+  t_id : string;  (** section id: CSV file stem and view selector. *)
+  t_title : string;
+  t_xlabel : string;
+  t_columns : string list;
+  t_rows : (int * float array) list;
+  t_fmt : float -> string;
+}
+
+type section =
+  | Table of table
+  | Csv of table  (** also written as [<t_id>.csv] under [--csv-dir]. *)
+  | Text of string  (** printed verbatim. *)
+
+type output = {
+  sections : section list;
+  results : Lbench.result list;  (** artifact entries, column-major. *)
+  checks : (unit -> (string, string) result) list;
+      (** gates to evaluate after printing, in order. *)
+}
+
+exception Usage_error of string
+(** Raised by a run for input it cannot use (an unknown lock name, a
+    gate point missing from the run). *)
+
+type flag =
+  | Topology
+  | Threads
+  | N_threads of string  (** doc *)
+  | Duration of string  (** doc *)
+  | Seed
+  | Patience
+  | Mix
+  | Locks of string  (** positional; doc *)
+  | Check of string  (** doc *)
+  | Csv_dir
+  | Trace
+  | Emit
+  | Profile
+
+val window : flag
+(** [--duration-ms] with the usual doc. *)
+
+type entry = {
+  name : string;  (** subcommand name; unique. *)
+  doc : string;
+  key : string option;  (** artifact experiment key; unique. *)
+  flags : flag list;  (** [repro] options; [[]]: not a subcommand. *)
+  views : (string * string * string list) list;
+      (** extra subcommands [(name, doc, section ids)] printing a subset. *)
+  repro : params;  (** the subcommand's defaults. *)
+  in_all : bool;  (** run by [repro all]. *)
+  bench : (params * params) option;  (** [bench/main.exe] quick, full. *)
+  run : params -> output;
+}
+
+val entries : entry list
+(** In [bench/main.exe] order. *)
+
+val defaults : params
+(** T5440, 10 ms windows, seed 42, no tracing. *)
+
+val quick : params
+(** [bench/main.exe quick]: 2 ms windows, Figures at 1/8/64/256 threads. *)
+
+val full : params
+
+val params_summary : params -> string
+val view : string list -> output -> output
+(** Keep the [Table]/[Csv] sections with these ids (and all [Text]). *)
+
+val print_section : section -> unit
+(** [Csv] prints nothing; writing files is the caller's. *)
+
+val artifact : seed:int -> (entry * output) list -> Bench_json.t
+(** The simulated artifact: every result of every keyed entry. *)
+
+val trace_sink : string option -> Numa_trace.Sink.t * (unit -> unit)
+(** A sink for [--trace FILE] and the finaliser that lands the file: a
+    [.jsonl] path streams JSONL, anything else writes a Chrome
+    trace_event file. *)
+
+val parse_positive : string -> (int, string) result
+(** An integer [>= 1] (thread counts, windows). *)
+
+val parse_threads : string -> (int list, string) result
+(** Comma-separated counts [>= 1], at least one (empty items skipped). *)
+
+(** {1 Runners used outside the table} *)
+
+val cfg_for : Numa_base.Topology.t -> int list -> Cohort.Lock_intf.config
+(** The machine's config with [max_threads] widened to cover the largest
+    thread count in a sweep — required for oversubscribed sweeps, a no-op
+    for in-capacity ones. *)
 
 type sweep = {
   threads : int list;
-  columns : string list;  (** lock names, paper legend order. *)
+  columns : string list;  (** lock names. *)
   cells : Lbench.result array array;
       (** [cells.(col).(row)] for column lock, row thread-count. *)
 }
-
-val params_summary : topology:Numa_base.Topology.t -> duration:int -> seed:int -> string
 
 val microbench_sweep :
   ?locks:Lock_registry.entry list ->
@@ -26,50 +138,13 @@ val microbench_sweep :
   seed:int ->
   unit ->
   sweep
-(** The Figure 2/3/4/5 data: LBench for every (lock, thread-count).
-    [~rollup:true] fills each cell's [result.rollup] with trace-derived
-    metrics; [~profile:true] fills each cell's [result.profile] site
-    table with per-site coherence attribution (see
-    {!Bench_core.Make.run}). *)
-
-val abortable_sweep :
-  ?locks:Lock_registry.abortable_entry list ->
-  ?rollup:bool ->
-  ?profile:bool ->
-  topology:Numa_base.Topology.t ->
-  threads:int list ->
-  duration:int ->
-  seed:int ->
-  patience:int ->
-  unit ->
-  sweep
-(** The Figure 6 data. *)
-
-(** Views over a sweep; each returns (x, per-column values) rows. *)
+(** LBench for every (lock, thread-count) — the Figure 2-5 data.
+    [~rollup]/[~profile] as in {!Bench_core.Make.run}. *)
 
 val throughput_rows : sweep -> (int * float array) list
-val misses_rows : sweep -> (int * float array) list
-val fairness_rows : sweep -> (int * float array) list
-val abort_rate_rows : sweep -> (int * float array) list
 
 val low_contention : sweep -> sweep
 (** Restrict to thread counts <= 16 (Figure 4). *)
-
-val print_fig2 : sweep -> unit
-val print_fig3 : sweep -> unit
-val print_fig4 : sweep -> unit
-val print_fig5 : sweep -> unit
-val print_fig6 : sweep -> unit
-
-(** Table 1: memcached-style KV store speedups over pthread at 1 thread. *)
-
-type table = {
-  t_title : string;
-  t_xlabel : string;
-  t_threads : int list;
-  t_columns : string list;
-  t_rows : (int * float array) list;
-}
 
 val table1 :
   ?locks:Lock_registry.entry list ->
@@ -80,6 +155,7 @@ val table1 :
   mix:Apps.Kv_workload.mix ->
   unit ->
   table
+(** Table 1: memcached-style KV store speedups over pthread at 1 thread. *)
 
 val table2 :
   ?locks:Lock_registry.entry list ->
@@ -90,107 +166,6 @@ val table2 :
   unit ->
   table
 (** Table 2: allocator stress (mmicro), malloc-free pairs per millisecond. *)
-
-val print_table : table -> unit
-
-(** Ablations motivated by the paper's design discussion. *)
-
-val ablation_handoff_bound :
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** Sweep of [max_local_handoffs] (section 3.7): throughput and fairness
-    of C-BO-MCS and C-TKT-MCS as the may-pass-local budget grows. Rows are
-    bounds; the columns interleave throughput (Mops/s) and fairness
-    (stddev %). *)
-
-val ablation_hbo_tuning :
-  topology:Numa_base.Topology.t ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** HBO parameter instability (section 4.2): the microbenchmark-tuned and
-    application-tuned presets, each run on LBench and on the write-heavy
-    KV workload. *)
-
-val ablation_policy :
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** The counted may-pass-local policy vs the time-budget policy suggested
-    in section 2.1: throughput, fairness and migrations per variant. *)
-
-val extension_blocking :
-  topology:Numa_base.Topology.t ->
-  threads:int list ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** The blocking cohort lock C-BLK-BLK against the plain blocking mutex
-    and C-BO-MCS on the write-heavy KV workload. *)
-
-val extension_rw :
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** The NUMA-aware reader-writer lock against a cohort mutex across
-    write ratios. *)
-
-val latency_p99_rows : sweep -> (int * float array) list
-val print_fig5_latency : sweep -> unit
-
-val topology_sensitivity :
-  n_threads:int -> duration:int -> seed:int -> unit -> table
-(** The cohort gain across machine shapes: UMA (negative control),
-    2-socket x86, the paper's T5440, and a hypothetical 8-socket
-    machine. *)
-
-val hierarchy_comparison :
-  n_threads:int -> duration:int -> seed:int -> unit -> table
-(** The flat T5440 against the {!Numa_base.Topology.rack} preset (two
-    racks of two sockets, three latency tiers): same cluster shape,
-    different distance structure, so the cohort gain isolates the cost of
-    cross-rack lock migration. *)
-
-val cfg_for :
-  Numa_base.Topology.t -> int list -> Cohort.Lock_intf.config
-(** [base_cfg] widened so [max_threads] covers the largest thread count
-    in a sweep — required for oversubscribed sweeps, a no-op for
-    in-capacity ones. *)
-
-val extension_bimodal :
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** The bi-modal (alternating read-heavy / write-heavy) server scenario
-    the paper's section 4.2 motivates. *)
-
-val successor_comparison :
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** The first paper-vs-successor table: MCS and C-BO-MCS against CNA
-    (single-word compact NUMA-aware lock) and the partition ticket lock.
-    Columns are throughput, remote transfers per acquisition, and
-    distinct lock-metadata cache lines touched (from a profiled run —
-    stats-only, so schedules match the unprofiled sweeps). *)
 
 val collapse_run :
   Lock_registry.entry ->
@@ -208,27 +183,3 @@ val collapse_run :
     (the post-window drain of blocked acquires still runs). Latency and
     miss metrics are [nan] — the experiment measures throughput,
     iterations, fairness and migrations. *)
-
-val collapse_sweep :
-  ?locks:Lock_registry.entry list ->
-  topology:Numa_base.Topology.t ->
-  threads:int list ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  sweep
-(** {!collapse_run} for every (lock, thread-count); defaults to
-    {!Lock_registry.collapse_locks}. *)
-
-val print_collapse : topology:Numa_base.Topology.t -> sweep -> unit
-
-val composition_matrix :
-  topology:Numa_base.Topology.t ->
-  n_threads:int ->
-  duration:int ->
-  seed:int ->
-  unit ->
-  table
-(** LBench throughput for all 16 global x local compositions (rows are
-    the global locks BO/TKT/MCS/CLH in order, columns the local locks) —
-    the paper's generality claim, measured. *)

@@ -60,6 +60,8 @@ module type S = sig
   val all_locks : entry list
   val find : string -> entry option
   val find_abortable : string -> abortable_entry option
+  val composition_axis : string list
+  val compositions : entry list
 
   module Blk : sig
     module Plain : LI.LOCK
@@ -174,6 +176,38 @@ module Make (M : Numa_base.Memory_intf.MEMORY) = struct
 
   let find_abortable name =
     List.find_opt (fun e -> e.a_name = name) abortable_locks
+
+  (* The generality claim: every thread-oblivious global lock composes
+     with every cohort-detecting local lock through the one Cohorting
+     transformation, with no per-pair code. *)
+  let axis : (string * (module LI.GLOBAL) * (module LI.LOCAL)) list =
+    [
+      ("BO", (module Bo.Global), (module Bo.Local));
+      ("TKT", (module Tkt.Global), (module Tkt.Local));
+      ("MCS", (module Mcs.Global), (module Mcs.Local));
+      ("CLH", (module Clh.Global), (module Clh.Local));
+    ]
+
+  let composition_axis = List.map (fun (n, _, _) -> n) axis
+
+  let compositions =
+    List.concat_map
+      (fun (g, (module G : LI.GLOBAL), _) ->
+        List.map
+          (fun (l, _, (module L : LI.LOCAL)) ->
+            let name = Printf.sprintf "C-%s-%s" g l in
+            let module C =
+              Cohort.Cohorting.Make
+                (struct
+                  let name = name
+                end)
+                (M)
+                (G)
+                (L)
+            in
+            plain name (module C))
+          axis)
+      axis
 
   module Blk = Cohort.Park_lock.Make (M)
   module C_blk_blk = Cohort.Cohort_locks.C_blk_blk (M)

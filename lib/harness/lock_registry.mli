@@ -66,6 +66,16 @@ module type S = sig
   val find : string -> entry option
   val find_abortable : string -> abortable_entry option
 
+  val composition_axis : string list
+  (** ["BO"; "TKT"; "MCS"; "CLH"]: the locks usable both as the global
+      and as the local level of a cohort lock. *)
+
+  val compositions : entry list
+  (** Every global x local pairing over {!composition_axis} built by
+      {!Cohort.Cohorting.Make} — 16 NUMA-aware locks named
+      ["C-<global>-<local>"], row-major (globals outer), of which the
+      paper names five. Kept out of {!all_locks}. *)
+
   (** Direct instantiations needed by extension experiments. *)
 
   module Blk : sig

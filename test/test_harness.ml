@@ -157,15 +157,87 @@ let test_table2_smoke () =
   let v8 = snd (List.nth t.X.t_rows 1) in
   Alcotest.(check bool) "mmicro scales" true (v8.(1) > v1.(1))
 
-let test_ablation_handoff_smoke () =
-  let t =
-    X.ablation_handoff_bound ~topology:topo ~n_threads:16 ~duration:200_000
-      ~seed:1 ()
+(* Every table entry at tiny parameters on the small machine, plus the
+   may-pass-local ablation at a size where its trend shows. *)
+let test_table_entries () =
+  let unique l = List.length (List.sort_uniq compare l) = List.length l in
+  Alcotest.(check bool) "unique names" true
+    (unique
+       (List.concat_map
+          (fun (e : X.entry) -> e.name :: List.map (fun (n, _, _) -> n) e.views)
+          X.entries));
+  Alcotest.(check bool) "unique artifact keys" true
+    (unique (List.filter_map (fun (e : X.entry) -> e.key) X.entries));
+  let handoff_trend (out : X.output) =
+    let rows = match out.sections with X.Table t :: _ -> t.t_rows | _ -> [] in
+    Alcotest.(check int) "7 bounds" 7 (List.length rows);
+    (* Throughput with a generous bound beats always-global (bound 0). *)
+    let tput_at i = (snd (List.nth rows i)).(0) in
+    Alcotest.(check bool) "bound 64 beats bound 0" true (tput_at 4 > tput_at 0)
   in
-  Alcotest.(check int) "7 bounds" 7 (List.length t.X.t_rows);
-  (* Throughput with a generous bound beats always-global (bound 0). *)
-  let tput_at i = (snd (List.nth t.X.t_rows i)).(0) in
-  Alcotest.(check bool) "bound 64 beats bound 0" true (tput_at 4 > tput_at 0)
+  let tiny (e : X.entry) =
+    ( e,
+      {
+        e.repro with
+        topology = Topology.small;
+        threads = [ 1; 4 ];
+        n_threads = 4;
+        duration = 100_000;
+      },
+      ignore )
+  in
+  let handoff =
+    List.find (fun (e : X.entry) -> e.name = "ablation-handoff") X.entries
+  in
+  List.iter
+    (fun ((e : X.entry), p, extra) ->
+      let out = e.run p in
+      let tables =
+        List.filter_map
+          (function X.Table t | X.Csv t -> Some t | X.Text _ -> None)
+          out.sections
+      in
+      Alcotest.(check bool) (e.name ^ ": output") true (out.sections <> []);
+      List.iter
+        (fun (t : X.table) ->
+          Alcotest.(check bool) (e.name ^ ": rows") true (t.t_rows <> []);
+          List.iter
+            (fun (_, cells) ->
+              Alcotest.(check int) (e.name ^ ": row width")
+                (List.length t.t_columns) (Array.length cells))
+            t.t_rows)
+        tables;
+      Alcotest.(check bool) (e.name ^ ": artifact entries iff keyed")
+        (e.key <> None) (out.results <> []);
+      List.iter
+        (fun (v, _, ids) ->
+          Alcotest.(check bool) (v ^ ": view has a table") true
+            (List.exists
+               (function X.Table _ -> true | _ -> false)
+               (X.view ids out).sections))
+        e.views;
+      extra out)
+    (List.map tiny X.entries
+    @ [
+        ( handoff,
+          { X.defaults with n_threads = 16; duration = 200_000; seed = 1 },
+          handoff_trend );
+      ])
+
+let test_parsers () =
+  let threads = Alcotest.(result (list int) string) in
+  Alcotest.(check threads) "list" (Ok [ 1; 8; 64 ]) (X.parse_threads "1, 8,,64");
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("threads rejects " ^ s) true
+        (Result.is_error (X.parse_threads s)))
+    [ ","; ""; "0"; "-3"; "1,0"; "8,x" ];
+  Alcotest.(check (result int string)) "count" (Ok 8) (X.parse_positive " 8");
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("count rejects " ^ s) true
+        (Result.is_error (X.parse_positive s)))
+    [ "0"; "-1"; ""; "eight" ]
 
 (* --- registry ------------------------------------------------------------ *)
 
@@ -267,34 +339,39 @@ let test_check_lock_reentrant_acquire () =
 
 (* --- trace ---------------------------------------------------------------- *)
 
-module T = Harness.Trace
+module Ev = Numa_trace.Event
+module Metrics = Numa_trace.Metrics
 module Sm = Numasim.Sim_mem
 
-let mk_ev at cluster kind = { T.at; tid = cluster; cluster; kind }
+let ev at cluster kind = { Ev.at; tid = cluster; cluster; kind }
 
 let test_trace_batches () =
-  let evs =
-    [
-      mk_ev 0 0 `Acquire; mk_ev 1 0 `Release;
-      mk_ev 2 0 `Acquire; mk_ev 3 0 `Release;
-      mk_ev 4 1 `Acquire; mk_ev 5 1 `Release;
-      mk_ev 6 0 `Acquire; mk_ev 7 0 `Release;
-    ]
+  let m =
+    Metrics.of_events
+      [
+        ev 0 0 Ev.Acquire_global; ev 1 0 Ev.Handoff_within_cohort;
+        ev 2 0 Ev.Acquire_local; ev 3 0 Ev.Handoff_global;
+        ev 4 1 Ev.Acquire_global; ev 5 1 Ev.Handoff_global;
+        ev 6 0 Ev.Acquire_global; ev 7 0 Ev.Handoff_global;
+      ]
   in
-  Alcotest.(check (list int)) "batches" [ 2; 1; 1 ] (T.batches evs);
-  Alcotest.(check int) "migrations" 2 (T.migration_count evs);
-  Alcotest.(check (float 0.01)) "mean batch" (4. /. 3.) (T.mean_batch evs)
+  Alcotest.(check int) "batches" 3 m.Metrics.batches;
+  Alcotest.(check int) "longest batch" 2 m.Metrics.batch_max;
+  Alcotest.(check int) "migrations" 2 m.Metrics.migrations;
+  Alcotest.(check (float 0.01)) "mean batch" (4. /. 3.) m.Metrics.batch_mean
 
 let test_trace_empty () =
-  Alcotest.(check (list int)) "no events" [] (T.batches []);
-  Alcotest.(check int) "no migrations" 0 (T.migration_count []);
-  Alcotest.(check (float 0.)) "mean 0" 0. (T.mean_batch []);
-  Alcotest.(check int) "timeline width" 40
-    (String.length (T.render_timeline ~width:40 []))
+  let m = Metrics.of_events [] in
+  Alcotest.(check int) "no batches" 0 m.Metrics.batches;
+  Alcotest.(check int) "no migrations" 0 m.Metrics.migrations;
+  Alcotest.(check bool) "no mean" true (Float.is_nan m.Metrics.batch_mean)
 
-let test_trace_wrap_preserves_behaviour () =
-  let (module L), events = T.wrap mcs.R.lock in
-  let l = L.create cfg in
+(* A ring sink set through [cfg.trace] logs every acquisition and release
+   of a run, in order. *)
+let test_trace_ring_preserves_behaviour () =
+  let (module L) = mcs.R.lock in
+  let ring = Numa_trace.Ring.create ~capacity:4096 in
+  let l = L.create { cfg with LI.trace = Numa_trace.Ring.sink ring } in
   let in_cs = ref 0 in
   let violations = ref 0 in
   ignore
@@ -310,28 +387,29 @@ let test_trace_wrap_preserves_behaviour () =
            L.release th;
            Sm.pause 100
          done));
-  Alcotest.(check int) "wrapped lock still excludes" 0 !violations;
-  let evs = events () in
-  Alcotest.(check int) "all events logged" (4 * 25 * 2) (List.length evs);
-  Alcotest.(check int) "acquires" (4 * 25) (List.length (T.acquisitions evs));
-  (* Events must strictly alternate acquire/release (mutual exclusion). *)
-  let rec alternates expecting = function
-    | [] -> true
-    | e :: rest -> e.T.kind = expecting
-        && alternates (if expecting = `Acquire then `Release else `Acquire) rest
+  Alcotest.(check int) "traced lock still excludes" 0 !violations;
+  let evs =
+    List.filter
+      (fun (e : Ev.t) -> Ev.is_acquire e.kind || Ev.is_release e.kind)
+      (Numa_trace.Ring.events ring)
   in
-  Alcotest.(check bool) "alternating" true (alternates `Acquire evs);
+  Alcotest.(check int) "all events logged" (4 * 25 * 2) (List.length evs);
+  Alcotest.(check int) "acquires" (4 * 25)
+    (Metrics.of_events evs).Metrics.acquires;
+  (* Events must strictly alternate acquire/release (mutual exclusion). *)
+  let rec alternates acquire = function
+    | [] -> true
+    | (e : Ev.t) :: rest ->
+        (if acquire then Ev.is_acquire e.kind else Ev.is_release e.kind)
+        && alternates (not acquire) rest
+  in
+  Alcotest.(check bool) "alternating" true (alternates true evs);
   (* Timestamps are non-decreasing. *)
   let rec sorted = function
-    | a :: (b :: _ as rest) -> a.T.at <= b.T.at && sorted rest
+    | (a : Ev.t) :: (b :: _ as rest) -> a.at <= b.at && sorted rest
     | _ -> true
   in
   Alcotest.(check bool) "chronological" true (sorted evs)
-
-let test_trace_timeline_paints_holder () =
-  let evs = [ mk_ev 0 2 `Acquire; mk_ev 100 2 `Release ] in
-  let line = T.render_timeline ~width:10 evs in
-  Alcotest.(check bool) "holder digit present" true (String.contains line '2')
 
 let suite =
   [
@@ -358,8 +436,8 @@ let suite =
           test_low_contention_filter;
         Alcotest.test_case "table1 smoke" `Quick test_table1_smoke;
         Alcotest.test_case "table2 smoke" `Quick test_table2_smoke;
-        Alcotest.test_case "ablation handoff" `Quick
-          test_ablation_handoff_smoke;
+        Alcotest.test_case "table entries" `Quick test_table_entries;
+        Alcotest.test_case "parsers" `Quick test_parsers;
       ] );
     ( "registry",
       [
@@ -382,8 +460,7 @@ let suite =
         Alcotest.test_case "batches" `Quick test_trace_batches;
         Alcotest.test_case "empty" `Quick test_trace_empty;
         Alcotest.test_case "wrap preserves" `Quick
-          test_trace_wrap_preserves_behaviour;
-        Alcotest.test_case "timeline" `Quick test_trace_timeline_paints_holder;
+          test_trace_ring_preserves_behaviour;
       ] );
     ( "report",
       [
